@@ -180,53 +180,3 @@ func DistanceToRank1(a *Matrix) (float64, error) {
 	}
 	return math.Sqrt(s), nil
 }
-
-// DominantSingularValue returns the largest singular value of a, computed by
-// power iteration on AᵀA. It is cheaper than a full SVD and is exposed for
-// callers that only need σ₁.
-func DominantSingularValue(a *Matrix) float64 {
-	at := a.Transpose()
-	// Gram matrix G = AᵀA (cols×cols).
-	g, err := at.Mul(a)
-	if err != nil {
-		return 0
-	}
-	n := g.Rows()
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = 1 / math.Sqrt(float64(n))
-	}
-	lambda := 0.0
-	for iter := 0; iter < 200; iter++ {
-		y, err := g.MulVec(x)
-		if err != nil {
-			return 0
-		}
-		norm := Norm2(y)
-		if norm == 0 {
-			return 0
-		}
-		for i := range y {
-			y[i] /= norm
-		}
-		newLambda := Dot(y, mustMulVec(g, y))
-		converged := math.Abs(newLambda-lambda) < 1e-14*(1+math.Abs(newLambda))
-		lambda = newLambda
-		x = y
-		if converged {
-			break
-		}
-	}
-	if lambda < 0 {
-		lambda = 0
-	}
-	return math.Sqrt(lambda)
-}
-
-func mustMulVec(m *Matrix, x []float64) []float64 {
-	y, err := m.MulVec(x)
-	if err != nil {
-		panic(err)
-	}
-	return y
-}

@@ -185,24 +185,6 @@ func TestSpammerConfusionMatricesAreNearRank1(t *testing.T) {
 	}
 }
 
-func TestDominantSingularValueMatchesSVD(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 10; trial++ {
-		a := randomMatrix(rng, 3, 3)
-		d, err := ComputeSVD(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sigma1 := DominantSingularValue(a)
-		if math.Abs(sigma1-d.S[0]) > 1e-6*(1+d.S[0]) {
-			t.Fatalf("power iteration σ1 = %v, SVD σ1 = %v", sigma1, d.S[0])
-		}
-	}
-	if got := DominantSingularValue(NewMatrix(2, 2)); got != 0 {
-		t.Fatalf("σ1 of zero matrix = %v", got)
-	}
-}
-
 // Property: Eckart–Young — the rank-1 SVD truncation is never worse than any
 // sampled rank-1 competitor of the form x·yᵀ.
 func TestEckartYoungProperty(t *testing.T) {

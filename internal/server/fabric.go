@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 
 	"crowdval"
@@ -76,7 +75,7 @@ func (m *Manager) SnapshotWithLSN(ctx context.Context, name string) ([]byte, uin
 	}
 	var snap []byte
 	var lsn uint64
-	err = m.exclusive(e, name, func(s *crowdval.Session) error {
+	err = m.exclusive(e, func(s *crowdval.Session) error {
 		var serr error
 		snap, serr = s.Snapshot()
 		if serr != nil {
@@ -106,10 +105,10 @@ func (m *Manager) SnapshotWithLSN(ctx context.Context, name string) ([]byte, uin
 // session's write lock — so no mutation can slip in behind the transferred
 // state — the WAL is fsynced, the final snapshot taken, and send delivers
 // snapshot + LSN to the target. Only after send returns nil is the local copy
-// retired (session, WAL, checkpoints, park file); on any failure the session
-// stays exactly where it was and keeps serving. The crash window between the
-// target's ack and the local retirement can leave both nodes with a copy —
-// the router resolves that by ownership, never by merging.
+// retired (see retire); on any failure the session stays exactly where it
+// was and keeps serving. The crash window between the target's ack and the
+// local retirement can leave both nodes with a copy — the router resolves
+// that by ownership, never by merging.
 func (m *Manager) HandoffSession(ctx context.Context, name string, send func(snapshot []byte, lsn uint64) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -118,21 +117,11 @@ func (m *Manager) HandoffSession(ctx context.Context, name string, send func(sna
 	if err != nil {
 		return err
 	}
-	e.mu.Lock()
-	if e.deleted {
-		e.mu.Unlock()
-		return fmt.Errorf("%w: %q", cverr.ErrSessionNotFound, name)
-	}
-	if e.sess == nil {
-		if err := m.unpark(e); err != nil {
-			e.mu.Unlock()
-			return err
-		}
+	if err := m.lockResident(e); err != nil {
+		return err
 	}
 	fail := func(err error) error {
-		victims := m.settle(e)
-		e.mu.Unlock()
-		m.parkAll(victims)
+		m.release(e)
 		return err
 	}
 	var lsn uint64
@@ -159,28 +148,9 @@ func (m *Manager) HandoffSession(ctx context.Context, name string, send func(sna
 	if err := send(snap, lsn); err != nil {
 		return fail(fmt.Errorf("server: handing off session %q: %w", name, err))
 	}
-
-	// The target owns the session now; retire the local copy the way Delete
-	// does, under the same name-stays-reserved-until-done discipline.
-	e.deleted = true
-	e.sess = nil
-	if e.log != nil {
-		e.log.close()
-		e.log = nil
-	}
-	m.removeWALFiles(name)
-	_ = os.Remove(m.parkPath(name))
+	// The target owns the session now.
+	m.retire(e)
 	e.mu.Unlock()
-
-	m.mu.Lock()
-	if cur, ok := m.sessions[name]; ok && cur == e {
-		delete(m.sessions, name)
-		m.lru.Remove(e.elem)
-	}
-	m.resident -= e.bytes
-	e.bytes = 0
-	e.parkedAccounted = false
-	m.mu.Unlock()
 	return nil
 }
 
@@ -194,78 +164,37 @@ func (m *Manager) CreateFromHandoff(ctx context.Context, name string, snapshot [
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if err := ValidateSessionName(name); err != nil {
-		return err
-	}
-	e := &entry{name: name}
-	e.mu.Lock()
-	m.mu.Lock()
-	if _, exists := m.sessions[name]; exists {
-		m.mu.Unlock()
-		e.mu.Unlock()
-		return fmt.Errorf("%w: %q", cverr.ErrSessionExists, name)
-	}
-	m.sessions[name] = e
-	e.elem = m.lru.PushFront(e)
-	m.mu.Unlock()
-
-	sess, err := crowdval.ResumeSession(snapshot)
-	var w *sessionWAL
-	if err == nil && m.walDir != "" {
-		w, err = m.adoptWAL(name, snapshot, lsn)
-	}
-	if err != nil {
-		e.deleted = true
-		e.mu.Unlock()
-		m.mu.Lock()
-		delete(m.sessions, name)
-		m.lru.Remove(e.elem)
-		m.mu.Unlock()
-		return err
-	}
-	e.sess = sess
-	e.log = w
-	e.replicaLSN = lsn
-	victims := m.settle(e)
-	e.mu.Unlock()
-	m.parkAll(victims)
-	return nil
+	return m.install(name, func() (*crowdval.Session, *sessionWAL, uint64, error) {
+		sess, err := crowdval.ResumeSession(snapshot)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		w, err := m.adoptWAL(name, snapshot, lsn)
+		return sess, w, lsn, err
+	})
 }
 
 // adoptWAL starts the durability state of a session adopted at lsn: the
-// transferred snapshot becomes the newest checkpoint covering lsn, and a
+// transferred snapshot becomes the only checkpoint, covering lsn, and a
 // fresh empty log is based there — exactly the state a home-grown session is
 // in right after a checkpoint rotation, so every later code path (appends,
-// rotation, recovery) applies unchanged.
+// rotation, recovery) applies unchanged. Without a WAL it returns a nil log.
+// On failure no file of the session is left behind.
 func (m *Manager) adoptWAL(name string, snapshot []byte, lsn uint64) (*sessionWAL, error) {
-	ckpt := m.ckptPath(name)
-	os.Remove(m.ckptPrevPath(name))
-	tmp := ckpt + ".tmp"
-	if err := m.writeFileSynced(tmp, func(f io.Writer) error {
-		return wal.WriteCheckpoint(f, lsn, snapshot)
-	}); err != nil {
-		os.Remove(tmp)
+	if m.walDir == "" {
+		return nil, nil
+	}
+	// Leftovers of an earlier session of this name must neither be demoted
+	// into the fallback generation nor outlive a failed adoption.
+	m.removeWALFiles(name)
+	if err := m.publishCheckpoint(name, lsn, snapshot); err != nil {
 		return nil, fmt.Errorf("server: writing adopted checkpoint of session %q: %w", name, err)
 	}
-	if err := os.Rename(tmp, ckpt); err != nil {
-		os.Remove(tmp)
-		return nil, fmt.Errorf("server: installing adopted checkpoint of session %q: %w", name, err)
-	}
-	path := m.walPath(name)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	w, err := m.openLog(name, lsn)
 	if err != nil {
-		os.Remove(ckpt)
+		os.Remove(m.ckptPath(name))
 		return nil, fmt.Errorf("server: creating adopted WAL of session %q: %w", name, err)
 	}
-	app, err := wal.NewAppender(m.wrapWAL(name, f), lsn, m.walSync)
-	if err != nil {
-		f.Close()
-		os.Remove(path)
-		os.Remove(ckpt)
-		return nil, fmt.Errorf("server: creating adopted WAL of session %q: %w", name, err)
-	}
-	w := &sessionWAL{f: f, app: app, lastCkptLSN: lsn}
-	m.foldWALMetrics(w)
 	return w, nil
 }
 
@@ -299,7 +228,7 @@ func (m *Manager) ReplicaApply(ctx context.Context, name string, lsn uint64, rec
 	if err != nil {
 		return err
 	}
-	return m.exclusive(e, name, func(s *crowdval.Session) error {
+	return m.exclusive(e, func(s *crowdval.Session) error {
 		cur := e.replicaLSN
 		if e.log != nil {
 			cur = e.log.app.LSN()

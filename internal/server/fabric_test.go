@@ -17,6 +17,7 @@ import (
 
 	"crowdval"
 	"crowdval/internal/cverr"
+	"crowdval/internal/fault"
 	"crowdval/internal/wal"
 )
 
@@ -119,6 +120,134 @@ func TestHandoffSendFailureKeepsSession(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(walDir, name+".wal")); err != nil {
 		t.Fatalf("WAL gone after failed handoff: %v", err)
+	}
+}
+
+// TestHandoffReturnsDonorBudget: a handoff moves a budgeted session's
+// outstanding budget with it — the donor stops reporting it, the target
+// starts. Retiring the donor's copy must reverse every accounted field, the
+// way Delete does.
+func TestHandoffReturnsDonorBudget(t *testing.T) {
+	d := testCrowd(t, 12, 4, 17)
+	ctx := context.Background()
+	const name = "budgeted"
+	a, err := NewManager(walManagerConfig(t, t.TempDir(), -1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewManager(walManagerConfig(t, t.TempDir(), -1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Create(ctx, name, d.Answers.Clone(), sessionOpts()...); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SetBudget(ctx, name, crowdval.CostTracker{Theta: 12.5, Budget: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Stats().BudgetRemaining; got != 100 {
+		t.Fatalf("donor budget before handoff = %v, want 100", got)
+	}
+	if err := a.HandoffSession(ctx, name, func(snap []byte, lsn uint64) error {
+		return b.CreateFromHandoff(ctx, name, snap, lsn)
+	}); err != nil {
+		t.Fatalf("HandoffSession: %v", err)
+	}
+	if st := a.Stats(); st.Sessions != 0 || st.BudgetRemaining != 0 || st.ResidentBytes != 0 {
+		t.Fatalf("donor after handoff: %d sessions, budget %v, %d resident bytes; want 0, 0, 0", st.Sessions, st.BudgetRemaining, st.ResidentBytes)
+	}
+	if st := b.Stats(); st.Sessions != 1 || st.BudgetRemaining != 100 {
+		t.Fatalf("target after handoff: %d sessions, budget %v; want 1, 100", st.Sessions, st.BudgetRemaining)
+	}
+}
+
+// TestCreateFromHandoffAdoptionFaults injects a disk fault at every step of
+// adopting a handed-off session — the checkpoint tmp open, write, fsync and
+// rename, and the fresh log's open — and asserts the adoption is atomic: the
+// call fails with the fault, the name stays free, no checkpoint, log or tmp
+// file is left behind, and a retry on the healed disk succeeds.
+func TestCreateFromHandoffAdoptionFaults(t *testing.T) {
+	d := testCrowd(t, 12, 4, 19)
+	sess, err := crowdval.NewSession(d.Answers.Clone(), sessionOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := sess.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const name, lsn = "adopted", 7
+	for _, p := range []struct {
+		step string
+		rule fault.Rule
+	}{
+		{step: "ckpt-tmp-open", rule: fault.Rule{Op: fault.OpOpen, Match: ".ckpt.tmp"}},
+		{step: "ckpt-tmp-write", rule: fault.Rule{Op: fault.OpWrite, Match: ".ckpt.tmp"}},
+		{step: "ckpt-tmp-fsync", rule: fault.Rule{Op: fault.OpSync, Match: ".ckpt.tmp"}},
+		{step: "promote-rename", rule: fault.Rule{Op: fault.OpRename, Match: ".ckpt.tmp"}},
+		{step: "log-open", rule: fault.Rule{Op: fault.OpOpen, Match: ".wal"}},
+	} {
+		t.Run(p.step, func(t *testing.T) {
+			walDir := t.TempDir()
+			in := fault.NewInjector()
+			m, err := NewManager(faultManagerConfig(t, walDir, -1, in))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			rule := p.rule
+			rule.Err, rule.Count = fault.ErrIO, 1
+			in.Arm(rule)
+			if err := m.CreateFromHandoff(ctx, name, snap, lsn); !errors.Is(err, fault.ErrIO) {
+				t.Fatalf("CreateFromHandoff on a failing disk = %v, want the injected fault", err)
+			}
+			if m.Has(name) {
+				t.Fatal("a failed adoption left the session installed")
+			}
+			des, err := os.ReadDir(walDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, de := range des {
+				t.Errorf("a failed adoption left %s behind", de.Name())
+			}
+			if err := m.CreateFromHandoff(ctx, name, snap, lsn); err != nil {
+				t.Fatalf("retrying the adoption: %v", err)
+			}
+			if got := managerSnapshot(t, m, name); !bytes.Equal(got, snap) {
+				t.Fatal("retried adoption serves a different state than the handed-off snapshot")
+			}
+			if got, _ := m.SessionLSN(name); got != lsn {
+				t.Fatalf("retried adoption LSN = %d, want %d", got, lsn)
+			}
+		})
+	}
+}
+
+// TestDeleteDegradedSessionClearsGauge: deleting a degraded session takes it
+// out of the health gauges, so readiness does not report a session that no
+// longer exists.
+func TestDeleteDegradedSessionClearsGauge(t *testing.T) {
+	d := testCrowd(t, 12, 4, 23)
+	in := fault.NewInjector()
+	m, err := NewManager(faultManagerConfig(t, t.TempDir(), -1, in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const name = "doomed"
+	if err := m.Create(ctx, name, d.Answers.Clone(), sessionOpts()...); err != nil {
+		t.Fatal(err)
+	}
+	in.Arm(fault.Rule{Op: fault.OpSync, Err: fault.ErrIO})
+	if _, err := m.Submit(ctx, name, 0, d.Truth[0]); !errors.Is(err, cverr.ErrDegraded) {
+		t.Fatalf("mutation on a failing disk: %v, want ErrDegraded", err)
+	}
+	if err := m.Delete(name); err != nil {
+		t.Fatal(err)
+	}
+	if h := m.Health(); h.State != "healthy" || h.DegradedSessions != 0 {
+		t.Fatalf("Health() after deleting the degraded session = %+v, want healthy/0", h)
 	}
 }
 

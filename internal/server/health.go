@@ -2,14 +2,11 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
 
-	"crowdval"
 	"crowdval/internal/cverr"
 	"crowdval/internal/wal"
 )
@@ -101,54 +98,6 @@ func (m *Manager) healWAL(w *sessionWAL) {
 	m.walHeals.Add(1)
 }
 
-// healSession rebuilds a session's durability state from its in-memory
-// state: a fresh checkpoint pair covering the current LSN plus an empty log
-// based there. This is sound because logMutation rejects a mutation before
-// it applies, so the in-memory session always equals exactly the acked
-// (logged and applied) ops even after append failures; and it is crash-safe
-// because the new checkpoint alone reproduces that state. It is also the
-// ENOSPC reclaim: the rewrite drops every record the checkpoint covers, so
-// a full disk gets the whole log's space back minus one header.
-//
-// Unlike checkpoint, healSession never syncs the old appender — the old log
-// is in an unknown byte state and is about to be replaced wholesale. The
-// caller holds the entry's write lock with a resident session.
-func (m *Manager) healSession(name string, sess *crowdval.Session, w *sessionWAL) error {
-	snap, err := sess.Snapshot()
-	if err != nil {
-		return err
-	}
-	// LSN() may count a phantom record whose append was buffered but whose
-	// sync failed; that only skips a number — the new checkpoint's LSN and
-	// the new log's base agree, which is all replay numbering needs.
-	lsn := w.app.LSN()
-	ckpt := m.ckptPath(name)
-	tmp := ckpt + ".tmp"
-	if err := m.writeFileSynced(tmp, func(f io.Writer) error {
-		return wal.WriteCheckpoint(f, lsn, snap)
-	}); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := m.injector.Rename(ckpt, m.ckptPrevPath(name)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		os.Remove(tmp)
-		return err
-	}
-	if err := m.injector.Rename(tmp, ckpt); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// floor == lastLSN makes the rewrite skip the read-back entirely: the
-	// new log is just a header based at lsn, and the live appender swaps
-	// onto it.
-	if err := m.rewriteLog(name, w, lsn, lsn); err != nil {
-		return err
-	}
-	w.lastCkptLSN = lsn
-	w.sinceCkpt = 0
-	return nil
-}
-
 // probeWAL append+fsyncs a no-op record to a sidecar probe file in the WAL
 // directory — the cheapest end-to-end test of "does this disk accept durable
 // writes again". The probe file goes through the same fault-injection seam
@@ -188,14 +137,8 @@ func (m *Manager) ProbeOnce(ctx context.Context) (int, error) {
 		m.probeFailures.Add(1)
 		return 0, err
 	}
-	m.mu.Lock()
-	entries := make([]*entry, 0, len(m.sessions))
-	for _, e := range m.sessions {
-		entries = append(entries, e)
-	}
-	m.mu.Unlock()
 	healed := 0
-	for _, e := range entries {
+	for _, e := range m.entries() {
 		if err := ctx.Err(); err != nil {
 			return healed, err
 		}
@@ -213,13 +156,11 @@ func (m *Manager) ProbeOnce(ctx context.Context) (int, error) {
 				continue
 			}
 		}
-		if err := m.healSession(e.name, e.sess, w); err == nil {
+		if err := m.checkpoint(e.name, e.sess, w, true); err == nil {
 			m.healWAL(w)
 			healed++
 		}
-		victims := m.settle(e)
-		e.mu.Unlock()
-		m.parkAll(victims)
+		m.release(e)
 	}
 	return healed, nil
 }

@@ -294,8 +294,13 @@ func (m *Manager) parkPath(name string) string {
 // Create builds a new session under the given name. The context bounds the
 // initial cold aggregation, the dominant cost of session creation.
 func (m *Manager) Create(ctx context.Context, name string, answers *crowdval.AnswerSet, opts ...crowdval.Option) error {
-	return m.install(name, func() (*crowdval.Session, error) {
-		return crowdval.NewSession(answers, append(append([]crowdval.Option(nil), opts...), crowdval.WithContext(ctx))...)
+	return m.install(name, func() (*crowdval.Session, *sessionWAL, uint64, error) {
+		sess, err := crowdval.NewSession(answers, append(append([]crowdval.Option(nil), opts...), crowdval.WithContext(ctx))...)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		w, err := m.createWAL(name, sess)
+		return sess, w, 0, err
 	})
 }
 
@@ -306,16 +311,25 @@ func (m *Manager) CreateFromSnapshot(ctx context.Context, name string, r io.Read
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return m.install(name, func() (*crowdval.Session, error) {
-		return crowdval.ResumeSessionFrom(r, opts...)
+	return m.install(name, func() (*crowdval.Session, *sessionWAL, uint64, error) {
+		sess, err := crowdval.ResumeSessionFrom(r, opts...)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		w, err := m.createWAL(name, sess)
+		return sess, w, 0, err
 	})
 }
 
-// install reserves the name with a placeholder entry, builds the session
-// outside every lock except the entry's own, and either publishes it or rolls
-// the reservation back. Concurrent operations on the same name block on the
-// entry lock until the creation settles.
-func (m *Manager) install(name string, build func() (*crowdval.Session, error)) error {
+// install is the one path by which a session enters the manager — Create,
+// CreateFromSnapshot, CreateFromHandoff and Recover all go through it. It
+// reserves the name with a placeholder entry, runs build outside every lock
+// except the entry's own, and either publishes the built session with its
+// log (nil without a WAL) and replica LSN, or rolls the reservation back.
+// build owns its files: on error it must leave nothing behind that a retry
+// of the same name would trip over. Concurrent operations on the same name
+// block on the entry lock until the creation settles.
+func (m *Manager) install(name string, build func() (*crowdval.Session, *sessionWAL, uint64, error)) error {
 	if err := ValidateSessionName(name); err != nil {
 		return err
 	}
@@ -331,14 +345,7 @@ func (m *Manager) install(name string, build func() (*crowdval.Session, error)) 
 	e.elem = m.lru.PushFront(e)
 	m.mu.Unlock()
 
-	sess, err := build()
-	var w *sessionWAL
-	if err == nil && m.walDir != "" {
-		// Log-before-serve: the creation is durable (a create record carrying
-		// the fresh snapshot) before the name is published, so no acknowledged
-		// creation can be lost to a crash.
-		w, err = m.createWAL(name, sess)
-	}
+	sess, w, lsn, err := build()
 	if err != nil {
 		e.deleted = true
 		e.mu.Unlock()
@@ -348,62 +355,74 @@ func (m *Manager) install(name string, build func() (*crowdval.Session, error)) 
 		m.mu.Unlock()
 		return err
 	}
-	e.sess = sess
-	e.log = w
-	victims := m.settle(e)
-	e.mu.Unlock()
-	m.parkAll(victims)
+	e.sess, e.log, e.replicaLSN = sess, w, lsn
+	m.release(e)
 	return nil
 }
 
-// Delete removes a session and its park file, if any. In-flight operations
-// on the session finish first; the name stays reserved (creations of the
-// same name fail with ErrSessionExists) until the deletion completes, so the
-// park file is always removed while this entry still owns it — a same-name
-// session created afterwards can never lose its own park file to a stale
-// Delete.
+// Delete removes a session and every file it owns. In-flight operations on
+// the session finish first; see retire.
 func (m *Manager) Delete(name string) error {
-	m.mu.Lock()
-	e, ok := m.sessions[name]
-	if !ok {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: %q", cverr.ErrSessionNotFound, name)
+	e, err := m.lookup(name)
+	if err != nil {
+		return err
 	}
-	m.mu.Unlock()
-
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.deleted {
 		// A concurrent Delete won the race for this entry.
-		e.mu.Unlock()
 		return fmt.Errorf("%w: %q", cverr.ErrSessionNotFound, name)
 	}
+	m.retire(e)
+	return nil
+}
+
+// retire is the one path by which a session leaves the manager — Delete, and
+// the donor side of HandoffSession. It closes the log, removes the WAL,
+// checkpoint and park files, unlinks the entry and reverses everything the
+// manager accounted for it: resident bytes, outstanding budget, the parked
+// count and the log's health gauges. The caller holds the entry's write lock
+// of a live entry. The name stays reserved until the unlink (creations of
+// the same name fail with ErrSessionExists), so the files are always removed
+// while this entry still owns them — a same-name session created afterwards
+// can never lose its files to a stale retire.
+func (m *Manager) retire(e *entry) {
 	wasParked := e.isParked
-	e.deleted = true
-	e.sess = nil
-	e.isParked = false
-	if e.log != nil {
-		e.log.close()
+	e.deleted, e.sess, e.isParked = true, nil, false
+	if w := e.log; w != nil {
+		switch w.state {
+		case walDegraded:
+			m.walDegraded.Add(-1)
+		case walFailStop:
+			m.walFailStop.Add(-1)
+		}
+		w.close()
 		e.log = nil
 	}
-	m.removeWALFiles(name)
-	_ = os.Remove(m.parkPath(name))
-	e.mu.Unlock()
+	m.removeWALFiles(e.name)
+	_ = os.Remove(m.parkPath(e.name))
 
 	m.mu.Lock()
-	if cur, ok := m.sessions[name]; ok && cur == e {
-		delete(m.sessions, name)
-		m.lru.Remove(e.elem)
-	}
+	defer m.mu.Unlock()
+	delete(m.sessions, e.name)
+	m.lru.Remove(e.elem)
 	m.resident -= e.bytes
-	e.bytes = 0
-	e.parkedAccounted = false
 	m.budgetRemaining -= e.budgetRemaining
-	e.budgetRemaining = 0
+	e.bytes, e.budgetRemaining, e.parkedAccounted = 0, 0, false
 	if wasParked {
 		m.parked--
 	}
-	m.mu.Unlock()
-	return nil
+}
+
+// entries returns the managed entries in no particular order.
+func (m *Manager) entries() []*entry {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]*entry, 0, len(m.sessions))
+	for _, e := range m.sessions {
+		out = append(out, e)
+	}
+	return out
 }
 
 // lookup finds the entry for a name and marks it most recently used.
@@ -430,7 +449,7 @@ func (m *Manager) update(ctx context.Context, name string, fn func(*crowdval.Ses
 	if err != nil {
 		return err
 	}
-	return m.exclusive(e, name, fn)
+	return m.exclusive(e, fn)
 }
 
 // updateLogged is update with the log-before-apply discipline: rec is
@@ -454,7 +473,7 @@ func (m *Manager) updateLogged(ctx context.Context, name string, rec wal.Record,
 	if err != nil {
 		return err
 	}
-	return m.exclusive(e, name, func(s *crowdval.Session) error {
+	return m.exclusive(e, func(s *crowdval.Session) error {
 		if err := m.logMutation(e, rec); err != nil {
 			return err
 		}
@@ -469,13 +488,23 @@ func (m *Manager) updateLogged(ctx context.Context, name string, rec wal.Record,
 }
 
 // exclusive is the shared write path behind update and view's parked-session
-// fallback: lock the entry, resume it if parked, run fn, re-account and park
-// budget victims.
-func (m *Manager) exclusive(e *entry, name string, fn func(*crowdval.Session) error) error {
+// fallback: lock the entry resident, run fn, release.
+func (m *Manager) exclusive(e *entry, fn func(*crowdval.Session) error) error {
+	if err := m.lockResident(e); err != nil {
+		return err
+	}
+	opErr := fn(e.sess)
+	m.release(e)
+	return opErr
+}
+
+// lockResident takes the entry's write lock and resumes the session if it is
+// parked. On error the lock is not held.
+func (m *Manager) lockResident(e *entry) error {
 	e.mu.Lock()
 	if e.deleted {
 		e.mu.Unlock()
-		return fmt.Errorf("%w: %q", cverr.ErrSessionNotFound, name)
+		return fmt.Errorf("%w: %q", cverr.ErrSessionNotFound, e.name)
 	}
 	if e.sess == nil {
 		if err := m.unpark(e); err != nil {
@@ -483,11 +512,19 @@ func (m *Manager) exclusive(e *entry, name string, fn func(*crowdval.Session) er
 			return err
 		}
 	}
-	opErr := fn(e.sess)
+	return nil
+}
+
+// release ends an exclusive operation on a resident session: re-account it,
+// drop the entry's write lock, then park the budget victims (parking locks
+// other entries; doing it while holding this one could deadlock two releases
+// picking each other's entry).
+func (m *Manager) release(e *entry) {
 	victims := m.settle(e)
 	e.mu.Unlock()
-	m.parkAll(victims)
-	return opErr
+	for _, v := range victims {
+		m.park(v)
+	}
 }
 
 // view runs fn with shared access to the named session: concurrent view calls
@@ -514,7 +551,7 @@ func (m *Manager) view(ctx context.Context, name string, fn func(*crowdval.Sessi
 		return err
 	}
 	e.mu.RUnlock()
-	return m.exclusive(e, name, fn)
+	return m.exclusive(e, fn)
 }
 
 // accountScoreIndex folds a session's cumulative score-index build/patch
@@ -575,9 +612,7 @@ func (m *Manager) unpark(e *entry) error {
 
 // settle re-accounts a session after an operation — memory estimate and EM
 // iteration delta — and selects eviction victims if the budget is exceeded.
-// The caller holds the entry's write lock and must park the returned victims
-// after releasing it (parking locks other entries; doing it while holding
-// this one could deadlock two settles picking each other's entry).
+// The caller holds the entry's write lock; release parks the victims.
 func (m *Manager) settle(e *entry) []*entry {
 	cur := e.sess.TotalEMIterations()
 	dcur := e.sess.TotalDeltaIterations()
@@ -612,12 +647,6 @@ func (m *Manager) settle(e *entry) []*entry {
 		victims = append(victims, v)
 	}
 	return victims
-}
-
-func (m *Manager) parkAll(victims []*entry) {
-	for _, v := range victims {
-		m.park(v)
-	}
 }
 
 // park snapshots a victim to disk and drops it from memory. A session that
@@ -710,7 +739,7 @@ func (m *Manager) AddAnswers(ctx context.Context, name string, answers []crowdva
 	e.ingestQueue = append(e.ingestQueue, t)
 	e.ingestMu.Unlock()
 
-	if err := m.exclusive(e, name, func(s *crowdval.Session) error {
+	if err := m.exclusive(e, func(s *crowdval.Session) error {
 		m.drainIngest(ctx, t, e, s)
 		return nil
 	}); err != nil {
@@ -923,12 +952,7 @@ func (m *Manager) GlobalNext(ctx context.Context, k int, includeParked bool) ([]
 	if k <= 0 {
 		return nil, &badRequestError{msg: "server: global next needs k >= 1"}
 	}
-	m.mu.Lock()
-	entries := make([]*entry, 0, len(m.sessions))
-	for _, e := range m.sessions {
-		entries = append(entries, e)
-	}
-	m.mu.Unlock()
+	entries := m.entries()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
 
 	var cands []crowdval.GlobalNextCandidate
@@ -996,7 +1020,7 @@ func (m *Manager) sessionCandidates(ctx context.Context, e *entry, k int, resume
 	if !resumeParked {
 		return nil, nil
 	}
-	err := m.exclusive(e, e.name, fn)
+	err := m.exclusive(e, fn)
 	if errors.Is(err, cverr.ErrSessionNotFound) {
 		return nil, nil // deleted while we waited
 	}

@@ -34,6 +34,14 @@ import (
 // *older* surviving checkpoint, so a corrupt newest checkpoint can always
 // fall back to <name>.ckpt.prev plus a longer replay — no single torn write
 // can lose acknowledged state.
+//
+// Each lifecycle step has exactly one implementation. A session enters
+// through install (manager.go), whose build step returns the session with
+// its log: createWAL for Create and CreateFromSnapshot, adoptWAL for
+// CreateFromHandoff, recoverSession for Recover. It leaves through retire
+// (Delete, and the donor side of HandoffSession), which removes every file
+// above and reverses the manager's accounting. Every checkpoint — a routine
+// rotation, a heal, an adoption — is written by publishCheckpoint.
 
 // sessionWAL is one session's write-ahead log state. It is guarded by the
 // owning entry's mu, like the session itself: every append runs inside the
@@ -102,33 +110,28 @@ func (m *Manager) foldWALMetrics(w *sessionWAL) {
 // createWAL starts the log of a freshly created session: a new file whose
 // first record carries the session's snapshot, synced regardless of policy —
 // session creation is durable before it is acknowledged, whatever the
-// per-mutation trade-off. A failure fails the creation.
+// per-mutation trade-off. A failure fails the creation and leaves no log
+// behind. Without a WAL it returns a nil log.
 func (m *Manager) createWAL(name string, sess *crowdval.Session) (*sessionWAL, error) {
+	if m.walDir == "" {
+		return nil, nil
+	}
 	snap, err := sess.Snapshot()
 	if err != nil {
 		return nil, fmt.Errorf("server: snapshotting session %q for its WAL: %w", name, err)
 	}
-	path := m.walPath(name)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	w, err := m.openLog(name, 0)
+	if err == nil {
+		if _, err = w.app.Append(wal.Record{Type: wal.RecCreate, Snapshot: snap}); err == nil {
+			err = w.app.Sync()
+		}
+		if err != nil {
+			w.close()
+			os.Remove(m.walPath(name))
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("server: creating WAL for session %q: %w", name, err)
-	}
-	w := &sessionWAL{f: f}
-	fail := func(err error) (*sessionWAL, error) {
-		f.Close()
-		os.Remove(path)
-		return nil, fmt.Errorf("server: creating WAL for session %q: %w", name, err)
-	}
-	app, err := wal.NewAppender(m.wrapWAL(name, f), 0, m.walSync)
-	if err != nil {
-		return fail(err)
-	}
-	w.app = app
-	if _, err := app.Append(wal.Record{Type: wal.RecCreate, Snapshot: snap}); err != nil {
-		return fail(err)
-	}
-	if err := app.Sync(); err != nil {
-		return fail(err)
 	}
 	m.foldWALMetrics(w)
 	// A stale checkpoint pair from a deleted predecessor of the same name
@@ -138,7 +141,26 @@ func (m *Manager) createWAL(name string, sess *crowdval.Session) (*sessionWAL, e
 	return w, nil
 }
 
-// removeWALFiles deletes every durability file of a session (Delete path).
+// openLog creates the session's log file, empty and based at base, through
+// the fault-injection seams. A failure leaves no file behind.
+func (m *Manager) openLog(name string, base uint64) (*sessionWAL, error) {
+	path := m.walPath(name)
+	f, err := m.injector.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	app, err := wal.NewAppender(m.wrapWAL(name, f), base, m.walSync)
+	if err != nil {
+		f.Close()
+		os.Remove(path)
+		return nil, err
+	}
+	w := &sessionWAL{f: f, app: app, lastCkptLSN: base}
+	m.foldWALMetrics(w)
+	return w, nil
+}
+
+// removeWALFiles deletes every durability file of a session.
 func (m *Manager) removeWALFiles(name string) {
 	if m.walDir == "" {
 		return
@@ -172,7 +194,7 @@ func (m *Manager) logMutation(e *entry, rec wal.Record) error {
 		// covers (and the failed append's torn bytes with them), which is
 		// the biggest space reclaim this session can make. The probe loop
 		// handles the case where even that does not fit.
-		if herr := m.healSession(e.name, e.sess, w); herr == nil {
+		if herr := m.checkpoint(e.name, e.sess, w, true); herr == nil {
 			m.enospcReclaims.Add(1)
 			_, err = w.app.Append(rec)
 			m.foldWALMetrics(w)
@@ -204,7 +226,7 @@ func (m *Manager) maybeCheckpoint(e *entry) {
 	if w == nil || w.state != walHealthy || m.ckptEvery <= 0 || w.sinceCkpt < m.ckptEvery || e.sess == nil {
 		return
 	}
-	if err := m.checkpoint(e.name, e.sess, w); err != nil {
+	if err := m.checkpoint(e.name, e.sess, w, false); err != nil {
 		m.checkpointFails.Add(1)
 		w.sinceCkpt = 0
 		return
@@ -212,39 +234,44 @@ func (m *Manager) maybeCheckpoint(e *entry) {
 	m.checkpoints.Add(1)
 }
 
-// checkpoint writes the session's snapshot as the new newest checkpoint,
-// demotes the previous newest to the fallback generation, and truncates the
-// log down to the demoted generation's LSN. The caller holds the session's
-// write lock.
-func (m *Manager) checkpoint(name string, sess *crowdval.Session, w *sessionWAL) error {
+// checkpoint writes the session's snapshot as the new newest checkpoint
+// (see publishCheckpoint) and rewrites the log to match. The caller holds the
+// entry's write lock with a resident session.
+//
+// A routine rotation first syncs the log — the checkpoint claims to cover
+// every logged record — and truncates it only down to the LSN of the demoted
+// generation, so the newest checkpoint is never the only path to a record.
+//
+// A heal rebuilds a session's durability state from memory instead: the log
+// is in an unknown byte state and about to be replaced wholesale, so it is
+// not synced, and the rewrite keeps no record at all — an empty log based at
+// the new checkpoint's LSN. This is sound because logMutation rejects a
+// mutation before it applies, so the in-memory session always equals exactly
+// the acked (logged and applied) ops even after append failures; and it is
+// crash-safe because the new checkpoint alone reproduces that state. It is
+// also the ENOSPC reclaim: a full disk gets the whole log's space back minus
+// one header.
+func (m *Manager) checkpoint(name string, sess *crowdval.Session, w *sessionWAL, heal bool) error {
 	snap, err := sess.Snapshot()
 	if err != nil {
 		return err
 	}
-	// Every logged record must be durable before any truncation decision:
-	// the checkpoint claims to cover them.
-	if err := w.app.Sync(); err != nil {
-		m.degradeWAL(w, err)
-		return err
-	}
-	m.foldWALMetrics(w)
-	lsn := w.app.LSN()
-
-	ckpt := m.ckptPath(name)
-	tmp := ckpt + ".tmp"
-	if err := m.writeFileSynced(tmp, func(f io.Writer) error {
-		return wal.WriteCheckpoint(f, lsn, snap)
-	}); err != nil {
-		os.Remove(tmp)
-		return err
-	}
 	floor := w.lastCkptLSN
-	if err := m.injector.Rename(ckpt, m.ckptPrevPath(name)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		os.Remove(tmp)
-		return err
+	if heal {
+		// LSN() may count a phantom record whose append was buffered but
+		// whose sync failed; that only skips a number — the new checkpoint's
+		// LSN and the new log's base agree, which is all replay numbering
+		// needs.
+		floor = w.app.LSN()
+	} else {
+		if err := w.app.Sync(); err != nil {
+			m.degradeWAL(w, err)
+			return err
+		}
+		m.foldWALMetrics(w)
 	}
-	if err := m.injector.Rename(tmp, ckpt); err != nil {
-		os.Remove(tmp)
+	lsn := w.app.LSN()
+	if err := m.publishCheckpoint(name, lsn, snap); err != nil {
 		return err
 	}
 	if err := m.rewriteLog(name, w, floor, lsn); err != nil {
@@ -253,6 +280,32 @@ func (m *Manager) checkpoint(name string, sess *crowdval.Session, w *sessionWAL)
 	w.lastCkptLSN = lsn
 	w.sinceCkpt = 0
 	return nil
+}
+
+// publishCheckpoint makes snapshot the session's newest checkpoint, covering
+// lsn: a synced <name>.ckpt.tmp, the previous newest (if any) demoted to
+// <name>.ckpt.prev, the tmp renamed into place. Every step passes through the
+// fault-injection seams; on failure the tmp is gone and the existing
+// generations are intact (a failed promote leaves only the fallback, which
+// recovery reads as such).
+func (m *Manager) publishCheckpoint(name string, lsn uint64, snapshot []byte) error {
+	ckpt := m.ckptPath(name)
+	tmp := ckpt + ".tmp"
+	err := m.writeFileSynced(tmp, func(f io.Writer) error {
+		return wal.WriteCheckpoint(f, lsn, snapshot)
+	})
+	if err == nil {
+		if err = m.injector.Rename(ckpt, m.ckptPrevPath(name)); errors.Is(err, os.ErrNotExist) {
+			err = nil
+		}
+	}
+	if err == nil {
+		err = m.injector.Rename(tmp, ckpt)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // rewriteLog replaces the session's log with a canonical re-encode of its
@@ -472,7 +525,11 @@ func (m *Manager) Recover(ctx context.Context) ([]RecoveredSession, error) {
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		r := m.recoverSession(ctx, name)
+		r := RecoveredSession{Name: name}
+		r.Err = m.install(name, func() (*crowdval.Session, *sessionWAL, uint64, error) {
+			sess, w, err := m.recoverSession(ctx, &r)
+			return sess, w, 0, err
+		})
 		if r.Err == nil {
 			m.recovered.Add(1)
 			m.replayed.Add(int64(r.Replayed))
@@ -482,9 +539,10 @@ func (m *Manager) Recover(ctx context.Context) ([]RecoveredSession, error) {
 	return out, nil
 }
 
-// recoverSession rebuilds one session from its checkpoint and log.
-func (m *Manager) recoverSession(ctx context.Context, name string) (r RecoveredSession) {
-	r.Name = name
+// recoverSession rebuilds one session from its checkpoint and log, filling
+// in the report as it goes; it is the build step of the session's install.
+func (m *Manager) recoverSession(ctx context.Context, r *RecoveredSession) (*crowdval.Session, *sessionWAL, error) {
+	name := r.Name
 	// Debris of an interrupted checkpoint or rotation.
 	os.Remove(m.ckptPath(name) + ".tmp")
 	os.Remove(m.walPath(name) + ".tmp")
@@ -505,23 +563,19 @@ func (m *Manager) recoverSession(ctx context.Context, name string) (r RecoveredS
 
 	f, err := os.Open(m.walPath(name))
 	if err != nil {
-		r.Err = fmt.Errorf("server: opening WAL of session %q: %w", name, err)
-		return r
+		return nil, nil, fmt.Errorf("server: opening WAL of session %q: %w", name, err)
 	}
+	defer f.Close()
 	rd, rdErr := wal.NewReader(f)
 	if rdErr != nil && !haveCkpt {
-		f.Close()
-		r.Err = fmt.Errorf("server: session %q: log header unreadable and no intact checkpoint: %w", name, rdErr)
-		return r
+		return nil, nil, fmt.Errorf("server: session %q: log header unreadable and no intact checkpoint: %w", name, rdErr)
 	}
 
 	var sess *crowdval.Session
 	if haveCkpt {
 		sess, err = crowdval.ResumeSession(snap)
 		if err != nil {
-			f.Close()
-			r.Err = fmt.Errorf("server: resuming checkpoint of session %q: %w", name, err)
-			return r
+			return nil, nil, fmt.Errorf("server: resuming checkpoint of session %q: %w", name, err)
 		}
 		r.CheckpointLSN = ckptLSN
 	}
@@ -545,15 +599,11 @@ func (m *Manager) recoverSession(ctx context.Context, name string) (r RecoveredS
 			}
 			if sess == nil {
 				if rec.Type != wal.RecCreate {
-					r.Err = fmt.Errorf("server: session %q: log starts with record type %d instead of a create record and no checkpoint is intact: %w", name, rec.Type, cverr.ErrBadWAL)
-					f.Close()
-					return r
+					return nil, nil, fmt.Errorf("server: session %q: log starts with record type %d instead of a create record and no checkpoint is intact: %w", name, rec.Type, cverr.ErrBadWAL)
 				}
 				sess, err = crowdval.ResumeSession(rec.Snapshot)
 				if err != nil {
-					f.Close()
-					r.Err = fmt.Errorf("server: resuming create record of session %q: %w", name, err)
-					return r
+					return nil, nil, fmt.Errorf("server: resuming create record of session %q: %w", name, err)
 				}
 				lastLSN = lsn
 				r.Replayed++
@@ -570,19 +620,15 @@ func (m *Manager) recoverSession(ctx context.Context, name string) (r RecoveredS
 				// live (the library rejects without mutating), so replay
 				// ignores them; only cancellation aborts recovery.
 				if errors.Is(aerr, context.Canceled) || errors.Is(aerr, context.DeadlineExceeded) {
-					f.Close()
-					r.Err = aerr
-					return r
+					return nil, nil, aerr
 				}
 			}
 			lastLSN = lsn
 			r.Replayed++
 		}
 	}
-	f.Close()
 	if sess == nil {
-		r.Err = fmt.Errorf("server: session %q has neither an intact checkpoint nor a create record: %w", name, cverr.ErrBadWAL)
-		return r
+		return nil, nil, fmt.Errorf("server: session %q has neither an intact checkpoint nor a create record: %w", name, cverr.ErrBadWAL)
 	}
 	r.LastLSN = lastLSN
 
@@ -591,8 +637,7 @@ func (m *Manager) recoverSession(ctx context.Context, name string) (r RecoveredS
 	// before any new record is appended.
 	af, err := os.OpenFile(m.walPath(name), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		r.Err = fmt.Errorf("server: reopening WAL of session %q: %w", name, err)
-		return r
+		return nil, nil, fmt.Errorf("server: reopening WAL of session %q: %w", name, err)
 	}
 	w := &sessionWAL{
 		f:           af,
@@ -604,7 +649,7 @@ func (m *Manager) recoverSession(ctx context.Context, name string) (r RecoveredS
 		// below from demoting garbage over the good fallback generation.
 		os.Remove(m.ckptPath(name))
 	}
-	if err := m.checkpoint(name, sess, w); err != nil {
+	if err := m.checkpoint(name, sess, w, false); err != nil {
 		m.checkpointFails.Add(1)
 		if r.TornTail {
 			// Without the rewrite the torn bytes are still in the file and
@@ -615,12 +660,7 @@ func (m *Manager) recoverSession(ctx context.Context, name string) (r RecoveredS
 	} else {
 		m.checkpoints.Add(1)
 	}
-
-	if err := m.installRecovered(name, sess, w); err != nil {
-		w.close()
-		r.Err = err
-	}
-	return r
+	return sess, w, nil
 }
 
 // replayRecord applies one logged mutation to a session being recovered.
@@ -678,14 +718,8 @@ func (m *Manager) Close() error {
 	if m.walDir == "" {
 		return nil
 	}
-	m.mu.Lock()
-	entries := make([]*entry, 0, len(m.sessions))
-	for _, e := range m.sessions {
-		entries = append(entries, e)
-	}
-	m.mu.Unlock()
 	var firstErr error
-	for _, e := range entries {
+	for _, e := range m.entries() {
 		e.mu.Lock()
 		if w := e.log; w != nil {
 			if w.state == walHealthy {
@@ -703,27 +737,4 @@ func (m *Manager) Close() error {
 		e.mu.Unlock()
 	}
 	return firstErr
-}
-
-// installRecovered publishes a recovered session in the manager, mirroring
-// install but with the session and its log already built.
-func (m *Manager) installRecovered(name string, sess *crowdval.Session, w *sessionWAL) error {
-	if err := ValidateSessionName(name); err != nil {
-		return err
-	}
-	e := &entry{name: name, sess: sess, log: w}
-	e.mu.Lock()
-	m.mu.Lock()
-	if _, exists := m.sessions[name]; exists {
-		m.mu.Unlock()
-		e.mu.Unlock()
-		return fmt.Errorf("%w: %q", cverr.ErrSessionExists, name)
-	}
-	m.sessions[name] = e
-	e.elem = m.lru.PushFront(e)
-	m.mu.Unlock()
-	victims := m.settle(e)
-	e.mu.Unlock()
-	m.parkAll(victims)
-	return nil
 }
