@@ -365,6 +365,21 @@ func benchmarkNextObject(b *testing.B, objects, workers, perObject int) {
 			}
 		}
 	})
+	// fused-ripple is the blocked scorer in the shape of a serving step that
+	// follows a state change: a fresh context per op builds the index, its
+	// hypothetical tables and the CSR adjacency copy the fused ripple walk
+	// reads, so the set-up the walk needs is inside the measurement.
+	b.Run("fused-ripple", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ctx := newCtx(true)
+			ctx.BlockedRows = true
+			if _, err := strategy.Select(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkNextObject is the headline guidance-scoring benchmark: one

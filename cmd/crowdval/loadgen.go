@@ -6,10 +6,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -25,7 +27,8 @@ import (
 // configurable number of client goroutines POST batches of synthetic crowd
 // answers to a configurable number of sessions, either back to back (closed
 // loop) or with Poisson arrivals, and the command reports end-to-end
-// throughput plus the server's own metrics (including how many requests the
+// throughput, p50/p95/p99 latency per request kind (ingest, next,
+// globalnext) and the server's own metrics (including how many requests the
 // ingest coalescing merged). With no -addr it spins up an in-process server
 // over a fresh synthetic dataset, so a single command measures the serving
 // stack on any machine; with -addr it targets a running `crowdval serve`.
@@ -150,12 +153,17 @@ func cmdLoadgen(args []string, out io.Writer) error {
 	var sent, nextSent, failed atomic.Int64
 	var classes statusClasses
 	var firstErr atomic.Pointer[error]
+	// Each client records the latency of its own successful requests, per
+	// kind; the slices are merged after every client has finished.
+	const kindIngest, kindRead = 0, 1
+	latencies := make([][2][]time.Duration, *clients)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for c := 0; c < *clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
+			lat := &latencies[c]
 			rng := rand.New(rand.NewSource(*seed + 1000*int64(c)))
 			session := names[c%len(names)]
 			node := sessionNode[c%len(names)]
@@ -177,12 +185,14 @@ func cmdLoadgen(args []string, out io.Writer) error {
 						url = fmt.Sprintf("%s/v1/next?k=%d", baseURL, *nextK)
 						into = &server.GlobalNextResponse{}
 					}
+					sentAt := time.Now()
 					if err := getJSONClassified(client, url, into, &classes); err != nil {
 						failed.Add(1)
 						perNode[node].failed.Add(1)
 						firstErr.CompareAndSwap(nil, &err)
 						continue
 					}
+					lat[kindRead] = append(lat[kindRead], time.Since(sentAt))
 					nextSent.Add(1)
 					perNode[node].next.Add(1)
 					continue
@@ -195,12 +205,14 @@ func cmdLoadgen(args []string, out io.Writer) error {
 						Label:  rng.Intn(*labels),
 					}
 				}
+				sentAt := time.Now()
 				if err := postJSONClassified(client, baseURL+"/v1/sessions/"+session+"/answers", req, http.StatusOK, &classes); err != nil {
 					failed.Add(1)
 					perNode[node].failed.Add(1)
 					firstErr.CompareAndSwap(nil, &err)
 					continue
 				}
+				lat[kindIngest] = append(lat[kindIngest], time.Since(sentAt))
 				sent.Add(1)
 				perNode[node].sent.Add(1)
 			}
@@ -208,6 +220,11 @@ func cmdLoadgen(args []string, out io.Writer) error {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	var ingestLat, readLat []time.Duration
+	for _, l := range latencies {
+		ingestLat = append(ingestLat, l[kindIngest]...)
+		readLat = append(readLat, l[kindRead]...)
+	}
 
 	var stats server.Stats
 	for _, baseURL := range baseURLs {
@@ -236,6 +253,12 @@ func cmdLoadgen(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "  selections: %.1f next/sec end to end (k=%d)\n",
 			float64(nextOK)/elapsed.Seconds(), *nextK)
 	}
+	// Latency is measured per successful request, from send to the decoded
+	// response, Retry-After waits included.
+	fmt.Fprintf(out, "  latency:    %s\n", latencyLine("ingest", ingestLat))
+	if *mix != "ingest" {
+		fmt.Fprintf(out, "              %s\n", latencyLine(*mix, readLat))
+	}
 	if len(baseURLs) > 1 {
 		for i, t := range targets {
 			nodeOK, nodeNext := perNode[i].sent.Load(), perNode[i].next.Load()
@@ -253,6 +276,22 @@ func cmdLoadgen(args []string, out io.Writer) error {
 		return fmt.Errorf("loadgen: %d of %d requests failed (first: %v)", n, n+ok+nextOK, *firstErr.Load())
 	}
 	return nil
+}
+
+// latencyLine formats one request kind's latency distribution: the p50,
+// p95 and p99 of the samples (nearest rank) and the sample count.
+func latencyLine(kind string, samples []time.Duration) string {
+	if len(samples) == 0 {
+		return fmt.Sprintf("%-10s no successful requests", kind)
+	}
+	slices.Sort(samples)
+	rank := func(q float64) time.Duration {
+		i := int(math.Ceil(q*float64(len(samples)))) - 1
+		return samples[max(i, 0)]
+	}
+	return fmt.Sprintf("%-10s p50 %v  p95 %v  p99 %v  (n=%d)", kind,
+		rank(0.50).Round(time.Microsecond), rank(0.95).Round(time.Microsecond),
+		rank(0.99).Round(time.Microsecond), len(samples))
 }
 
 // statusClasses breaks the driven traffic down by response class: 2xx

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"crowdval"
 )
@@ -296,5 +298,57 @@ func TestCLIUnknownStrategyHasTypedName(t *testing.T) {
 	}
 	if name := crowdval.ErrorName(err); name != "ErrUnknownStrategy" {
 		t.Fatalf("ErrorName = %q, want ErrUnknownStrategy", name)
+	}
+}
+
+// TestCLILoadgenPrintsPercentiles: loadgen reports p50/p95/p99 latency per
+// request kind — ingest always, plus the read kind of the next and
+// globalnext mixes — with the sample count, and the percentiles are ordered.
+func TestCLILoadgenPrintsPercentiles(t *testing.T) {
+	for _, mix := range []string{"ingest", "next", "globalnext"} {
+		var out bytes.Buffer
+		err := run([]string{"loadgen",
+			"-sessions", "2", "-clients", "2", "-requests", "6", "-batch", "5",
+			"-objects", "80", "-workers", "12", "-answers-per-object", "4",
+			"-delta", "-delta-scoring", "-mix", mix, "-strategy", "uncertainty",
+			"-next-k", "3", "-seed", "11"}, &out)
+		if err != nil {
+			t.Fatalf("loadgen -mix %s: %v\n%s", mix, err, out.String())
+		}
+		// Two clients × six requests; the mixed workloads alternate kinds.
+		kinds := map[string]int{"ingest": 12}
+		if mix != "ingest" {
+			kinds = map[string]int{"ingest": 6, mix: 6}
+		}
+		for kind, n := range kinds {
+			var p50, p95, p99 time.Duration
+			var got int
+			found := false
+			for _, line := range strings.Split(out.String(), "\n") {
+				fields := strings.Fields(strings.TrimPrefix(strings.TrimSpace(line), "latency:"))
+				if len(fields) != 8 || fields[0] != kind {
+					continue
+				}
+				found = true
+				var perr error
+				for i, dst := range []*time.Duration{&p50, &p95, &p99} {
+					if *dst, perr = time.ParseDuration(fields[2+2*i]); perr != nil {
+						t.Fatalf("-mix %s: %s percentile %q: %v", mix, kind, fields[2+2*i], perr)
+					}
+				}
+				if _, perr = fmt.Sscanf(fields[7], "(n=%d)", &got); perr != nil {
+					t.Fatalf("-mix %s: %s sample count %q: %v", mix, kind, fields[7], perr)
+				}
+			}
+			if !found {
+				t.Fatalf("-mix %s: no %s latency line:\n%s", mix, kind, out.String())
+			}
+			if got != n {
+				t.Fatalf("-mix %s: %s latency over %d samples, want %d", mix, kind, got, n)
+			}
+			if p50 <= 0 || p50 > p95 || p95 > p99 {
+				t.Fatalf("-mix %s: %s percentiles out of order: p50 %v p95 %v p99 %v", mix, kind, p50, p95, p99)
+			}
+		}
 	}
 }

@@ -23,6 +23,14 @@ import (
 // entropy change against the maintained entropy index. One candidate costs
 // O(answers-on-o × its-workers' rows) instead of a full EM re-convergence.
 //
+// Two scratches implement that pass on the same floats. The scalar scratch
+// (NewScratch) is the reference: it replays the pass once per label. The
+// blocked scratch (NewBlockedScratch, scoreindex_blocked.go) is what the
+// engine runs: it stages the confusion blocks of every label first and then
+// walks the ripple set once, computing every label's row per ripple object
+// in that single visit, from a contiguous CSR copy of the object adjacency
+// the index keeps next to its log tables. Both return the same bits.
+//
 // The result is a first-order estimate of the exact conditional uncertainty:
 // it captures the hypothesis' local ripple (the frontier's rows and its
 // workers' confusion rows) exactly where hypothetical validations act
@@ -69,6 +77,22 @@ type ScoreIndex struct {
 	logPriors []float64
 	logConf   []float64
 	logConfT  []float64
+
+	// adjStart/adj are a compressed-sparse-row copy of the object adjacency
+	// (object o's answers are adj[adjStart[o]:adjStart[o+1]], sorted by
+	// worker like AnswerSet.ObjectView), read by the blocked scorer's ripple
+	// walk instead of chasing one slice header per object. Filled with the
+	// hypothetical tables and refilled by every Rebase, so an in-place
+	// ingest followed by the Rebase that follows its aggregation never
+	// leaves the copy stale; no scorer ever writes it.
+	adjStart []int
+	adj      []adjAnswer
+}
+
+// adjAnswer is one CSR entry of ScoreIndex.adj: a worker and the label it
+// gave, packed into 8 bytes.
+type adjAnswer struct {
+	worker, label int32
 }
 
 // NewScoreIndex builds the scoring index for one aggregation result. The
@@ -127,6 +151,30 @@ func (ix *ScoreIndex) EnsureHypoTables() {
 	ix.logPriors = logPriors
 	ix.logConf = logConf
 	ix.logConfT = logConfT
+	ix.fillAdjacency()
+}
+
+// fillAdjacency (re)builds the CSR copy of the object adjacency from the
+// answer set, reusing the existing buffers. O(#answers); it runs only where
+// the hypothetical tables are (re)filled — serialized before scoring fans
+// out — never per candidate and never on a memoized ranking.
+func (ix *ScoreIndex) fillAdjacency() {
+	if cap(ix.adjStart) < ix.n+1 {
+		ix.adjStart = make([]int, ix.n+1)
+	}
+	ix.adjStart = ix.adjStart[:ix.n+1]
+	if cap(ix.adj) < ix.answers.AnswerCount() {
+		ix.adj = make([]adjAnswer, 0, ix.answers.AnswerCount())
+	}
+	adj := ix.adj[:0]
+	for o := 0; o < ix.n; o++ {
+		ix.adjStart[o] = len(adj)
+		for _, wa := range ix.answers.ObjectView(o) {
+			adj = append(adj, adjAnswer{worker: int32(wa.Worker), label: int32(wa.Label)})
+		}
+	}
+	ix.adjStart[ix.n] = len(adj)
+	ix.adj = adj
 }
 
 // fillLogPriors writes the log class priors of the assignment into dst,
@@ -141,34 +189,43 @@ func fillLogPriors(dst []float64, u *model.AssignmentMatrix) {
 }
 
 // HypoScratch is the per-goroutine scratch state of the delta-accelerated
-// hypothetical scorer: assignment-row buffers, one reusable confusion matrix
-// for the frontier M-step, per-touched-worker log-confusion blocks, and a
+// hypothetical scorer: assignment-row buffers, the frontier M-step's
+// confusion accumulator, per-touched-worker log-confusion blocks, and a
 // stamp array that deduplicates ripple objects. A scratch is owned by exactly
 // one goroutine; scoring a candidate allocates nothing once the block buffer
 // has grown to the candidate's answer degree (asserted by a
 // testing.AllocsPerRun test).
 type HypoScratch struct {
 	ix *ScoreIndex
-	// hypoRow is the pinned point-mass row of the candidate object.
+	// hypoRow is the pinned point-mass row of the candidate object (for a
+	// blocked scratch, one such row per staged label).
 	hypoRow []float64
 	// row is the posterior recompute buffer for ripple objects.
 	row []float64
-	// conf is the reusable confusion matrix of the frontier M-step.
+	// conf is the reusable confusion matrix of the scalar frontier M-step.
 	conf *model.ConfusionMatrix
 	// workers and blocks hold the candidate's answering workers and their
-	// re-estimated log-confusion blocks (m² each; true-label-major like
-	// ScoreIndex.logConf for a scalar scratch, answered-label-major like
-	// ScoreIndex.logConfT for a blocked one).
+	// re-estimated log-confusion blocks (m² each). A scalar scratch holds
+	// one label's blocks, true-label-major like ScoreIndex.logConf; a
+	// blocked one holds every staged label's blocks, answered-label-major
+	// like ScoreIndex.logConfT (see fusedConditionalUncertainty).
 	workers []int
 	blocks  []float64
 	// seen/stamp deduplicate ripple objects shared by several workers.
 	seen  []int32
 	stamp int32
-	// blocked routes the E/M passes through the contiguous transposed-table
-	// variants (NewBlockedScratch); confT is the blocked M-step's
-	// answered-label-major soft-count accumulator.
+	// blocked selects the fused walk over the transposed tables
+	// (NewBlockedScratch); the fields below belong to it alone. confT holds
+	// the M-step's answered-label-major soft counts, one m² block per staged
+	// label; slots maps a worker to its staged blocks (valid while its stamp
+	// is current); labels are the staged labels (p > 0); rows holds one
+	// posterior row per staged label and deltaH their entropy changes.
 	blocked bool
 	confT   []float64
+	slots   []workerSlot
+	labels  []int
+	rows    []float64
+	deltaH  []float64
 }
 
 // NewScratch prepares a per-goroutine scratch for hypothetical scoring.
@@ -188,8 +245,12 @@ func (ix *ScoreIndex) NewScratch() *HypoScratch {
 // frontier-restricted hypothetical EM pass per label: the expectation, over
 // the candidate's current label distribution, of the total uncertainty after
 // the hypothetical validation e(o) = l. Labels with zero probability are
-// skipped, mirroring the exact scorer.
+// skipped, mirroring the exact scorer. A blocked scratch runs the passes of
+// all labels in one fused ripple walk; the result carries the same bits.
 func (sc *HypoScratch) ConditionalUncertainty(object int) float64 {
+	if sc.blocked {
+		return sc.fusedConditionalUncertainty(object)
+	}
 	ix := sc.ix
 	expected := 0.0
 	for l := 0; l < ix.m; l++ {
@@ -230,13 +291,8 @@ func (sc *HypoScratch) hypotheticalUncertainty(object int, label model.Label) fl
 	}
 	for i, wa := range touched {
 		sc.workers = append(sc.workers, wa.Worker)
-		if sc.blocked {
-			sc.reestimateConfusionBlocked(wa.Worker, object)
-			fillLogBlockFromT(sc.blocks[i*mm:(i+1)*mm], sc.confT)
-		} else {
-			reestimateConfusionHypo(sc.conf, ix.answers, ix.probSet.Assignment, wa.Worker, ix.smoothing, object, sc.hypoRow)
-			fillLogConfBlock(sc.blocks[i*mm:(i+1)*mm], sc.conf, m)
-		}
+		reestimateConfusionHypo(sc.conf, ix.answers, ix.probSet.Assignment, wa.Worker, ix.smoothing, object, sc.hypoRow)
+		fillLogConfBlock(sc.blocks[i*mm:(i+1)*mm], sc.conf, m)
 	}
 
 	// The pinned row's entropy drops to zero.
@@ -258,11 +314,7 @@ func (sc *HypoScratch) hypotheticalUncertainty(object int, label model.Label) fl
 			if validation.Get(o) != model.NoLabel {
 				continue
 			}
-			if sc.blocked {
-				sc.posteriorRowHypoBlocked(o)
-			} else {
-				sc.posteriorRowHypo(o)
-			}
+			sc.posteriorRowHypo(o)
 			deltaH += entropyOfRow(sc.row) - ix.entropies[o]
 		}
 	}

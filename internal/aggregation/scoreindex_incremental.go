@@ -36,7 +36,8 @@ func (ix *ScoreIndex) ProbSet() *model.ProbabilisticAnswerSet { return ix.probSe
 // detected by a bitwise compare and keep their cached entropies; unchanged
 // confusion matrices (pointer-equal or value-equal) keep their log blocks.
 // Only moved rows are re-logged/re-entropied, and totalH is re-summed exactly
-// as NewScoreIndex sums it whenever any entropy moved.
+// as NewScoreIndex sums it whenever any entropy moved. When the hypothetical
+// tables exist, the CSR copy of the object adjacency is refilled too.
 func (ix *ScoreIndex) Rebase(answers *model.AnswerSet, p *model.ProbabilisticAnswerSet) bool {
 	if p == nil || answers == nil || answers != ix.answers {
 		return false
@@ -81,6 +82,10 @@ func (ix *ScoreIndex) Rebase(answers *model.AnswerSet, p *model.ProbabilisticAns
 			fillLogConfBlock(ix.logConf[w*mm:(w+1)*mm], p.Confusions[w], ix.m)
 			fillLogConfBlockT(ix.logConfT[w*mm:(w+1)*mm], p.Confusions[w], ix.m)
 		}
+		// The answer set is the same value but may have been ingested into
+		// in place; the CSR copy is O(#answers) to refill, so it is refilled
+		// unconditionally rather than diffed.
+		ix.fillAdjacency()
 	}
 
 	ix.probSet = p

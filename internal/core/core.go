@@ -566,7 +566,7 @@ func (e *Engine) guidanceContext(ctx context.Context) *guidance.Context {
 		Parallel:       e.cfg.Parallel,
 		MaxParallelism: e.cfg.MaxParallelism,
 		DeltaScore:     e.cfg.DeltaScoring,
-		// The blocked (contiguous transposed-table) hypothetical scorer is
+		// The blocked (fused ripple walk) hypothetical scorer is
 		// bit-identical to the scalar one and strictly faster, so it is the
 		// default whenever delta scoring is on.
 		BlockedRows: e.cfg.DeltaScoring,
@@ -579,7 +579,9 @@ func (e *Engine) guidanceContext(ctx context.Context) *guidance.Context {
 // (ScoreIndex.Rebase), touching only entries whose rows actually moved; a
 // failed patch (growth, snapshot resume, shape change) and a missing index
 // fall back to the from-scratch build. For delta scoring the hypothetical
-// tables are (re)filled as part of the same step.
+// tables and the CSR adjacency copy the blocked scorer reads are (re)filled
+// as part of the same step, under selMu and before scoring fans out, so
+// concurrent scorers only ever read them.
 func (e *Engine) ensureScoreIndex() *aggregation.ScoreIndex {
 	if ix := e.scoreIndex; ix != nil && ix.ProbSet() != e.probSet {
 		if ix.Rebase(e.working, e.probSet) {

@@ -65,12 +65,13 @@ type Context struct {
 	// (see the parity tests).
 	DeltaScore bool
 	// BlockedRows routes delta scoring through the blocked hypothetical
-	// scorer (aggregation.ScoreIndex.NewBlockedScratch), whose E/M inner
-	// loops walk contiguous transposed log-confusion slabs instead of
-	// m-strided columns. Scores are bit-identical to the scalar scratch —
-	// the layouts carry the same floats and every operation runs in the same
-	// order — so this is a pure memory-layout knob; it has no effect without
-	// DeltaScore.
+	// scorer (aggregation.ScoreIndex.NewBlockedScratch): one fused ripple
+	// walk per candidate that computes every label's hypothesis rows per
+	// ripple object in a single visit, over contiguous transposed
+	// log-confusion slabs and the index's CSR copy of the object adjacency.
+	// Scores are bit-identical to the scalar scratch — the same floats go
+	// through the same operations in the same order — so this is a pure
+	// execution-strategy knob; it has no effect without DeltaScore.
 	BlockedRows bool
 }
 

@@ -15,7 +15,9 @@ import (
 // hypothesis with one frontier-restricted EM pass over the candidate's dirty
 // frontier (the object plus its answering workers' rows; see
 // aggregation.ScoreIndex), trading a documented information-gain tolerance
-// for orders of magnitude in latency. Both scorers rank candidates
+// for orders of magnitude in latency; with Context.BlockedRows (the engine's
+// default) it prices all labels of a candidate in one fused ripple walk,
+// bit-identical to one walk per label. Both scorers rank candidates
 // deterministically, serial or parallel.
 type UncertaintyDriven struct {
 	// CandidateLimit restricts the expensive information-gain computation to
@@ -48,7 +50,9 @@ func (u *UncertaintyDriven) SelectK(ctx *Context, k int) ([]ScoredObject, error)
 
 // prepare narrows the candidate set and builds the per-goroutine scorer
 // factory for the configured scoring mode. It runs before scoring fans out,
-// so the shared index is fully built here.
+// so the shared index — its hypothetical tables and CSR adjacency copy
+// included — is fully built here; each scoring goroutine then owns one
+// scratch and only reads the index.
 func (u *UncertaintyDriven) prepare(ctx *Context) ([]int, func() scorerFunc, error) {
 	candidates := ctx.candidates()
 	if len(candidates) == 0 {
